@@ -46,7 +46,7 @@ SAMPLING_DELTA = 0.01
 
 #: Requests generated per workload — more than a run can send, so the
 #: corpus never wraps (a wrapped corpus would turn into cache hits).
-CORPUS_SIZE = {"sampling": 8000, "exact_certified": 6000, "admission_mix": 30000}
+CORPUS_SIZE = {"sampling": 8000, "exact_certified": 3000, "admission_mix": 30000}
 
 
 def walk_program(walkers: str, source: dict | None = None) -> str:
@@ -144,6 +144,20 @@ def permutation_digraph(rng: random.Random, n: int, prefix: str = "v") -> Graph:
         targets = [u, nodes[(i + 1) % n], nodes[image[i]]]
         edges[u] = [(v, targets.count(v)) for v in sorted(set(targets))]
     return Graph(nodes, edges)
+
+
+def relabel(graph: Graph, rng: random.Random) -> Graph:
+    """``graph`` under a permutation of its node names drawn from ``rng``.
+
+    The shape is kept, and so is the position of each node in
+    ``nodes`` (``nodes[0]`` is the image of the original ``nodes[0]``):
+    a seed changes the labels, not the work.
+    """
+    names = list(graph.nodes)
+    rng.shuffle(names)
+    to = dict(zip(graph.nodes, names))
+    return Graph([to[u] for u in graph.nodes],
+                 {to[u]: sorted((to[v], w) for v, w in graph.edges[u]) for u in graph.nodes})
 
 
 def database(graph: Graph, positions: dict[str, list[str]]) -> dict:
@@ -267,14 +281,15 @@ class Deck:
 
 
 def _sampling(rng: random.Random, size: int) -> tuple[list[Request], list[Request], dict]:
+    shapes = random.Random("sampling:shapes")
     walks = [("cycle", cycle(8)), ("complete", complete(6)), ("grid", grid(3, 4))]
     # Two independent walkers whose product space (uniform long-run
     # distribution over 66^2 states) outgrows the session transition
     # cache, so it evicts at steady state.  It runs on the columnar
     # backend: a frozenset cache miss on this database costs ~12 ms on a
     # 2-core host, which would stretch warm-up to a minute.
-    product_graph = permutation_digraph(rng, 66)
-    reach = [random_digraph(rng, 5, 2, prefix="r") for _ in range(2)]
+    product_graph = relabel(permutation_digraph(shapes, 66), rng)
+    reach = [relabel(random_digraph(shapes, 5, 2, prefix="r"), rng) for _ in range(2)]
     burn_ins = (16, 24)
 
     walk_sessions = []
@@ -363,10 +378,17 @@ def _exact_certified(rng: random.Random, size: int) -> tuple[list[Request], list
     # again.  The first 4 split databases (10 nodes, 10^2 product
     # states) also serve the sparse rung, which assembles the whole
     # product chain.
+    # Graph shapes, start nodes and the schedule (which rung and database
+    # each request uses) are the same for every seed; the seed relabels
+    # the nodes and picks the events.  Every run thus builds chains of
+    # the same sizes, and the pool evicts the same sessions: with a
+    # seeded schedule the chains rebuilt after evictions moved the CPU
+    # per query by up to 25% between seeds.
+    shapes = random.Random("exact_certified:shapes")
     split, coupled = [], []
     for n in [10] * 4 + ([10, 11, 12, 13, 14] * 3)[:14]:
-        graph = random_digraph(rng, n, 2)
-        c0, d0 = rng.sample(graph.nodes, 2)
+        graph = relabel(random_digraph(shapes, n, 2), rng)
+        c0, d0 = (graph.nodes[i] for i in shapes.sample(range(n), 2))
         db = database(graph, {"C": [c0], "D": [d0]})
         # Per-walker long-run distributions; the walkers are independent.
         per_walker = {
@@ -376,26 +398,26 @@ def _exact_certified(rng: random.Random, size: int) -> tuple[list[Request], list
         }
         split.append((graph, db, per_walker))
     for n in ([7, 8, 9, 10] * 5)[:18]:
-        graph = random_digraph(rng, n, 2)
-        c0, d0 = rng.sample(graph.nodes, 2)
+        graph = relabel(random_digraph(shapes, n, 2), rng)
+        c0, d0 = (graph.nodes[i] for i in shapes.sample(range(n), 2))
         db = database(graph, {"C": [c0], "D": [d0]})
         program = walk_program("CD", source={"D": "C"})
         coupled.append((graph, db, program, StateDistribution("forever", program, db)))
 
     popularity = [4] * 6 + [2] * 6 + [1] * 6
-    decks = {"split-partition": Deck(rng, split, popularity),
-             "split-sparse": Deck(rng, split[:4])}
-    decks["coupled-lumped"] = Deck(rng, coupled, popularity)
+    decks = {"split-partition": Deck(shapes, split, popularity),
+             "split-sparse": Deck(shapes, split[:4])}
+    decks["coupled-lumped"] = Deck(shapes, coupled, popularity)
     # The exact, sparse and whole-program (unsplit partition) rungs cost
     # the most and grow with the chain: one graph size keeps the slow
     # tail, where p95 falls, comparable across seeds.
     eight = [c for c in coupled if len(c[0].nodes) == 8]
     for rung in ("exact", "sparse", "partition"):
-        decks[f"coupled-{rung}"] = Deck(rng, eight)
+        decks[f"coupled-{rung}"] = Deck(shapes, eight)
     seen: set = set()
 
-    def split_request(rung: str) -> Request:
-        graph, db, per_walker = decks[f"split-{rung}"].draw()
+    def split_request(rung: str, entry: tuple) -> Request:
+        graph, db, per_walker = entry
         x, y = rng.choice(graph.nodes), rng.choice(graph.nodes)
         px = per_walker["C"].probability(f"C({x})")
         py = per_walker["D"].probability(f"C({y})")
@@ -408,8 +430,8 @@ def _exact_certified(rng: random.Random, size: int) -> tuple[list[Request], list
                 "event": event, "params": params}
         return _certified(f"split-{rung}", body, value, rung)
 
-    def coupled_request(rung: str) -> Request:
-        graph, db, program, longrun = decks[f"coupled-{rung}"].draw()
+    def coupled_request(rung: str, entry: tuple) -> Request:
+        graph, db, program, longrun = entry
         cs = [p[0] for p in longrun.support_positions("C")]
         ds = [p[0] for p in longrun.support_positions("D")]
         shape = rng.random()
@@ -425,33 +447,39 @@ def _exact_certified(rng: random.Random, size: int) -> tuple[list[Request], list
                 "event": event, "params": dict(params)}
         return _certified(f"coupled-{rung}", body, longrun.probability(event), rung)
 
-    draws = {
-        "split-partition": lambda: split_request("partition"),
-        "split-sparse": lambda: split_request("sparse"),
-        "coupled-lumped": lambda: coupled_request("lumped"),
-        "coupled-sparse": lambda: coupled_request("sparse"),
-        "coupled-exact": lambda: coupled_request("exact"),
-        "coupled-partition": lambda: coupled_request("partition"),
-    }
+    def make(kind: str, entry: tuple) -> Request:
+        family, rung = kind.split("-")
+        return (split_request if family == "split" else coupled_request)(rung, entry)
+
     # The sparse rung is the costliest (~0.3-0.6 s); keeping it under 5%
     # of requests puts p95 among the exact-rung answers, not inside the
     # sparse ones' wide spread.
-    mix = Deck(rng, list(draws), [50, 1, 33, 2, 9, 5])
+    mix = Deck(shapes, ["split-partition", "split-sparse", "coupled-lumped", "coupled-sparse",
+                        "coupled-exact", "coupled-partition"], [50, 1, 33, 2, 9, 5])
 
     def draw() -> Request:
         kind = mix.draw()
-        for _ in range(1000):
-            request = draws[kind]()
+        for attempt in range(10_000):
+            # Another database only once this one's events run out,
+            # thousands of requests beyond what a run sends today.
+            if attempt % 100 == 0:
+                entry = decks[kind].draw()
+            request = make(kind, entry)
             # Deterministic answers are result-cacheable: keep every
             # request distinct so none is a cache hit.
             if request.payload not in seen:
                 seen.add(request.payload)
                 return request
-        raise RuntimeError(f"{kind}: no new distinct request in 1000 draws")
+        raise RuntimeError(f"{kind}: no new distinct request in 10000 draws")
 
-    # Warm-up touches every rung (and its lazy imports) first; the timed
-    # requests then never repeat a warm-up computation.
-    warmup = [draws[kind]() for kind in draws]
+    # Warm-up touches every rung (and its lazy imports), then prepares
+    # every session and fills its transition cache with the chain, so
+    # the window sees the steady state: the hot sessions resident, the
+    # cold ones evicted and prepared again.  The timed requests never
+    # repeat a warm-up computation.
+    warmup = [make(kind, decks[kind].draw()) for kind in decks]
+    warmup += [split_request("partition", entry) for entry in split]
+    warmup += [coupled_request("lumped", entry) for entry in coupled]
     seen.update(request.payload for request in warmup)
     requests = [draw() for _ in range(size)]
     return requests, warmup, {"databases": len(split) + len(coupled)}

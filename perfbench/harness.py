@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -20,8 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-#: Poll schedule after a submit (seconds); the last entry repeats.  The
-#: service has no blocking wait, so completion is observed by polling.
+#: Mean poll delays after a submit (seconds); the last entry repeats.
+#: The service has no blocking wait, so completion is observed by
+#: polling.  Each delay is drawn uniformly from half to one and a half
+#: times its mean: with fixed delays every latency would fall on the
+#: lattice of poll times, and a percentile would jump a whole poll
+#: interval (8 ms, a sixth of a typical p50) when the service got
+#: slightly faster or slower.
 POLL_SCHEDULE = (0.002, 0.004, 0.008)
 
 #: A request that has not finished after this long counts as failed.
@@ -169,23 +175,49 @@ def host_steal_s() -> float:
     return int(fields[8]) / _TICK
 
 
-class Usage:
-    """Server-tree CPU, load-generator CPU and host steal over a ``with``
-    block, and the tree's peak resident memory at its end."""
+class Meter:
+    """Server-tree CPU and host steal sampled at ``slices`` equal steps of
+    ``slice_s`` seconds from a background thread over a ``with`` block,
+    plus one last sample at its end; load-generator CPU and the tree's
+    peak resident memory over the whole block.
 
-    def __init__(self, pid: int):
-        self.pid = pid
+    ``samples`` holds ``(time, tree CPU seconds, host steal seconds)``;
+    consecutive samples bound one slice.
+    """
 
-    def __enter__(self) -> "Usage":
+    def __init__(self, pid: int, slices: int, slice_s: float):
+        self.pid, self.slices, self.slice_s = pid, slices, slice_s
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._sample_slices, daemon=True)
+
+    def _sample(self) -> tuple[float, float, float]:
+        return time.time(), tree_cpu_s(self.pid), host_steal_s()
+
+    def _sample_slices(self) -> None:
+        start = self.samples[0][0]
+        for index in range(1, self.slices + 1):
+            if self._stop.wait(max(0.0, start + index * self.slice_s - time.time())):
+                return
+            self.samples.append(self._sample())
+
+    def __enter__(self) -> "Meter":
         self.client_start = time.process_time()
-        self.steal_start = host_steal_s()
-        self.cpu_start = tree_cpu_s(self.pid)
+        self.samples = [self._sample()]
+        self._thread.start()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.cpu_s = tree_cpu_s(self.pid) - self.cpu_start
+        # The loop runs past its last slice boundary (in-flight requests
+        # finish), so the sampler has taken or is about to take every
+        # boundary sample; cut it short only on an error.
+        if exc[0] is not None:
+            self._stop.set()
+        self._thread.join()
+        self.samples.append(self._sample())
+        first, last = self.samples[0], self.samples[-1]
+        self.cpu_s = last[1] - first[1]
+        self.steal_s = last[2] - first[2]
         self.client_cpu_s = time.process_time() - self.client_start
-        self.steal_s = host_steal_s() - self.steal_start
         self.peak_rss_mb = tree_peak_rss_mb(self.pid)
 
 
@@ -262,6 +294,7 @@ def run_one(server: "Server", request, rid: str) -> Outcome:
     """
     outcome = Outcome(request, rid, time.time())
     deadline = outcome.sent + REQUEST_TIMEOUT_S
+    jitter = random.Random(rid)
     try:
         status, record = _call(server, "POST", "/v1/jobs", request.payload,
                                {"Content-Type": "application/json", "X-Request-Id": rid})
@@ -270,7 +303,8 @@ def run_one(server: "Server", request, rid: str) -> Outcome:
         if status == 202:
             polls = 0
             while record.get("state") not in FINISHED and time.time() < deadline:
-                time.sleep(POLL_SCHEDULE[min(polls, len(POLL_SCHEDULE) - 1)])
+                mean = POLL_SCHEDULE[min(polls, len(POLL_SCHEDULE) - 1)]
+                time.sleep(mean * jitter.uniform(0.5, 1.5))
                 polls += 1
                 start = time.time()
                 poll_status, record = _call(server, "GET", f"/v1/jobs/{record['id']}", None, {})

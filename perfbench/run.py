@@ -2,14 +2,16 @@
 
 Usage::
 
-    python3 perfbench/run.py --workload sampling --seed 1 --seconds 12 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 12 --trace 1
+    python3 perfbench/run.py --workload sampling --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 1
 
 Run from the root of a checkout.  Each run generates its workload's
 corpus and references from ``--seed``, starts ``repro serve`` from
 ``src/`` (set up ``SETUPS`` times; ``setup_s`` is the median), drives it
 with a closed loop of 2 client threads for ``--seconds``, checks every
-answer, and prints one JSON object as the last line of stdout.
+answer, and prints one JSON object as the last line of stdout.  The
+end-to-end metrics are taken over the slices of the window in which the
+host took little CPU time from this machine (see ``calm_slices``).
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` measures an
 untraced and a traced server and reports the per-layer metrics.  A
 human-readable report goes to stderr.  See ``perfbench/README.md``.
@@ -37,11 +39,12 @@ from corpus import DEFAULT_SEED, SAMPLING_DELTA, WORKLOADS, build_corpus  # noqa
 #: Server set-ups per untraced run; ``setup_s`` is their median.
 SETUPS = 3
 
-#: Share of the CPUs the host may give other guests (steal) during a
-#: window before the window is measured again, and how many extra
-#: windows a run may take (this bounds its duration).
+#: The measured window is cut into slices of about this many seconds.
+#: The metrics are taken over the slices in which the host gave at most
+#: ``STEAL_LIMIT`` of the CPUs to other guests (steal); when fewer than
+#: half the slices are that calm, over the calmest half.
+SLICE_S = 2.0
 STEAL_LIMIT = 0.05
-EXTRA_WINDOWS = 1
 
 #: A run must complete this many queries so p95 has 10 samples beyond it.
 MIN_QUERIES = 200
@@ -158,65 +161,69 @@ class Run:
         raise RuntimeError("product-chain cache never filled during warm-up")
 
     def measure(self, server: harness.Server, seconds: float, label: str) -> dict:
-        """One measured window; one more, on the same server and further
-        along the corpus, when the host stole more than ``STEAL_LIMIT`` of
-        the CPUs during it.  The window with less steal is reported; the
-        answers of both are checked and counted."""
+        """One measured window, its server-tree CPU and host steal sampled
+        slice by slice."""
+        slices = max(1, round(seconds / SLICE_S))
         source = enumerate(self.corpus.requests)
-        limit = STEAL_LIMIT * seconds * (os.cpu_count() or 1)
-        windows = []
-        for attempt in range(1 + EXTRA_WINDOWS):
-            windows.append(self._window(server, source, seconds, label))
-            if windows[-1]["steal_s"] <= limit:
-                break
-            if attempt < EXTRA_WINDOWS:
-                log(f"[{self.workload}] host steal {windows[-1]['steal_s']:.2f}s exceeds "
-                    f"{limit:.2f}s: measuring one more window")
-        chosen = min(windows, key=lambda window: window["steal_s"])
-        chosen["discarded"] = [o for w in windows if w is not chosen for o in w["outcomes"]]
-        return chosen
-
-    def _window(self, server: harness.Server, source, seconds: float, label: str) -> dict:
         before = server.get("/v1/metrics")
-        with harness.Usage(server.process.pid) as usage:
+        with harness.Meter(server.process.pid, slices, seconds / slices) as meter:
             outcomes, start, end = harness.closed_loop(server, source, seconds, label)
         after = server.get("/v1/metrics")
-        # Steal is time the host ran other guests on these CPUs: runs
+        # Steal is time the host ran other guests on these CPUs: slices
         # with much of it are slow for reasons outside the program.
+        samples = meter.samples[:slices + 1]
         log(f"[{self.workload}] {label}: window {end - start:.2f}s, server tree CPU "
-            f"{usage.cpu_s:.2f}s, load-generator CPU {usage.client_cpu_s:.2f}s, "
-            f"host steal {usage.steal_s:.2f}s")
-        return {"outcomes": outcomes, "window": end - start, "cpu_s": usage.cpu_s,
-                "peak_rss_mb": usage.peak_rss_mb, "steal_s": usage.steal_s,
-                "before": before, "after": after}
+            f"{meter.cpu_s:.2f}s, load-generator CPU {meter.client_cpu_s:.2f}s, "
+            f"host steal {meter.steal_s:.2f}s; per slice "
+            f"{[round(b[2] - a[2], 2) for a, b in zip(samples, samples[1:])]}")
+        return {"outcomes": outcomes, "samples": samples,
+                "peak_rss_mb": meter.peak_rss_mb, "before": before, "after": after}
+
+
+def calm_slices(samples: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
+    """``(start, end, server CPU)`` of the slices with little host steal
+    (see ``STEAL_LIMIT``)."""
+    capacity = os.cpu_count() or 1
+    slices = [(t0, t1, cpu1 - cpu0, steal1 - steal0)
+              for (t0, cpu0, steal0), (t1, cpu1, steal1) in zip(samples, samples[1:])]
+    calm = [i for i, (t0, t1, _, steal) in enumerate(slices)
+            if steal <= STEAL_LIMIT * capacity * (t1 - t0)]
+    half = math.ceil(len(slices) / 2)
+    if len(calm) < half:
+        calm = sorted(range(len(slices)), key=lambda i: (slices[i][3], i))[:half]
+    return [slices[i][:3] for i in sorted(calm)]
 
 
 def summarize(measured: dict) -> dict:
-    """Counts and end-to-end metrics of one measured window."""
+    """Counts over every answer of a window, and end-to-end metrics over
+    the answers that arrived in its calm slices."""
     outcomes = measured["outcomes"]
-    checked = outcomes + measured["discarded"]
-    attempted = len(checked)
-    sampling = [o for o in checked if o.request.check["kind"] == "sampling" and o.ok]
+    attempted = len(outcomes)
+    sampling = [o for o in outcomes if o.request.check["kind"] == "sampling" and o.ok]
     outside = sum(o.outside for o in sampling)
     share_outside = outside / len(sampling) if sampling else 0.0
-    failed = sum(not o.ok for o in checked)
+    failed = sum(not o.ok for o in outcomes)
     if share_outside > SAMPLING_DELTA:
         failed += outside
-    answered = [o for o in outcomes if o.ok]
-    latencies = [o.latency if o.ok else math.inf for o in outcomes]
+    calm = calm_slices(measured["samples"])
+    counted = [o for o in outcomes if any(t0 <= o.done < t1 for t0, t1, _ in calm)]
+    answered = [o for o in counted if o.ok]
+    latencies = [o.latency if o.ok else math.inf for o in counted] or [math.inf]
+    calm_s = sum(t1 - t0 for t0, t1, _ in calm)
     return {
         "attempted": attempted,
         "failed": failed,
         "completed": len(answered),
+        "calm_s": calm_s,
         "sampling_outside_eps": outside,
         "sampling_answers": len(sampling),
         "metrics": {
-            "throughput_qps": len(answered) / measured["window"],
+            "throughput_qps": len(answered) / calm_s,
             "latency_p50_s": percentile(latencies, 0.50),
             "latency_p95_s": percentile(latencies, 0.95),
             "answered_ratio": 1.0 - failed / attempted,
             "failed_ratio": failed / attempted,
-            "cpu_s_per_query": measured["cpu_s"] / max(1, len(answered)),
+            "cpu_s_per_query": sum(cpu for _, _, cpu in calm) / max(1, len(answered)),
             "peak_rss_mb": measured["peak_rss_mb"],
         },
     }
@@ -255,7 +262,7 @@ def end_to_end(run: Run, seconds: float) -> dict:
     summary["metrics"]["setup_s"] = statistics.median(setups)
     summary["setups"] = setups
     report_tags(measured["outcomes"])
-    report_failures(measured["outcomes"] + measured["discarded"])
+    report_failures(measured["outcomes"])
     return summary
 
 
@@ -275,7 +282,8 @@ def _cache_counters(snapshot: dict) -> dict[tuple, dict]:
     return caches
 
 
-def layer_metrics(run: Run, measured: dict, spans: dict, untraced_qps: float) -> dict:
+def layer_metrics(run: Run, measured: dict, spans: dict, untraced_qps: float,
+                  traced_qps: float) -> dict:
     outcomes = [o for o in measured["outcomes"] if o.ok]
     n = len(outcomes)
     index = attribution.SpanIndex(spans)
@@ -341,7 +349,6 @@ def layer_metrics(run: Run, measured: dict, spans: dict, untraced_qps: float) ->
     unattributed = totals.get("unattributed", 0.0)
     metrics["unattributed_s"] = unattributed / n
     metrics["attributed_ratio"] = 1 - unattributed / wall
-    traced_qps = n / measured["window"]
     metrics["trace_overhead_ratio"] = untraced_qps / traced_qps
 
     log(f"[{run.workload}] traced run: {n} completed queries, traced wall time {wall:.3f}s")
@@ -388,11 +395,11 @@ def traced(run: Run, seconds: float) -> dict:
     spans = json.loads(spans_path.read_text())
     summary = summarize(measured)
     summary["metrics"] = layer_metrics(
-        run, measured, spans, plain_summary["metrics"]["throughput_qps"])
+        run, measured, spans, plain_summary["metrics"]["throughput_qps"],
+        summary["metrics"]["throughput_qps"])
     summary["attempted"] += plain_summary["attempted"]
     summary["failed"] += plain_summary["failed"]
-    report_failures(plain["outcomes"] + plain["discarded"]
-                    + measured["outcomes"] + measured["discarded"])
+    report_failures(plain["outcomes"] + measured["outcomes"])
     return summary
 
 
@@ -403,9 +410,10 @@ def run_workload(root: Path, workload: str, seed: int, seconds: float, trace: bo
     summary["correct"] = summary["failed"] == 0 and run.warm_failures == 0
     if not trace:
         m = summary["metrics"]
-        log(f"[{workload}] {summary['completed']} answered in the reported window "
-            f"(p95 has {summary['completed'] - math.ceil(0.95 * summary['completed'])} samples "
-            f"beyond it); {summary['attempted']} attempted in all windows, "
+        log(f"[{workload}] {summary['completed']} answered in the calm {summary['calm_s']:.2f}s "
+            f"of the window (p95 has "
+            f"{summary['completed'] - math.ceil(0.95 * summary['completed'])} samples "
+            f"beyond it); {summary['attempted']} attempted in the window, "
             f"{summary['sampling_outside_eps']} of {summary['sampling_answers']} "
             f"sampling estimates outside eps; setups {[round(s, 3) for s in summary['setups']]}")
         for name, value in m.items():
@@ -440,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     # Terminated from outside: unwind, so every server is stopped.
