@@ -7,9 +7,8 @@ sampler (sequential / ``workers=4`` / transition-cached), the columnar
 kernel vs the frozenset interpreter over the Thm 5.6 family (with
 per-operator timings), cross-process sampler determinism under varying
 ``PYTHONHASHSEED``, a closed-loop service loadgen (p50/p99 latency +
-QPS per backend, gated against the latest committed baseline), the
-supervised warm worker pool vs the legacy spawn-per-call executor, the
-exact linear solver (Bareiss vs the Gauss–Jordan reference), and the
+QPS per backend, gated against the latest committed baseline), warm
+dispatch on the supervised worker pool, the exact linear solver (Bareiss vs the Gauss–Jordan reference), and the
 sparse certified solver (kernel-streamed CSR assembly + a 10^4-state
 birth-death chain solved to a residual-certified 1e-9) — and writes
 ``BENCH_<date>.json`` with the median wall-clock of each plus SHA-256
@@ -19,9 +18,8 @@ Correctness gates (always enforced; any failure exits nonzero):
 
 * ``workers=1`` sampler results are bit-identical to the sequential
   path, and ``workers=4`` runs are seed-stable (two runs, same tallies);
-* the supervised warm pool reproduces spawn-per-call tallies
-  bit-for-bit and finishes the run with all workers alive, zero
-  restarts;
+* the supervised warm pool finishes its runs with all workers alive
+  and zero restarts;
 * the columnar backend's sampler tallies are checksum-equal to the
   frozenset interpreter on every Thm 5.6 family member, its transition
   distribution is Fraction-exact, and seeded tallies are identical
@@ -426,53 +424,33 @@ def bench_loadgen(h: Harness, cores: int) -> None:
                   f"cores {base_cores} vs {cores}, quick={h.quick}")
 
 
-def bench_supervisor(h: Harness, cores: int) -> None:
-    print("worker supervisor — warm pool vs spawn-per-call dispatch")
+def bench_supervisor(h: Harness) -> None:
+    print("worker supervisor — warm pool dispatch")
     from repro.perf import prewarm, warm_pool_stats
 
     query, db = random_walk_query(cycle_graph(8), "n0", "n4")
-    # Deliberately a *small* job in both modes: this bench measures
-    # per-call dispatch overhead (process spawn + import vs warm
-    # hand-off), which a long run would amortise into the noise.  The
-    # workers=4 throughput story lives in bench_thm56.
+    # Deliberately a *small* job: this bench measures per-call dispatch
+    # overhead of the warm hand-off, which a long run would amortise
+    # into the noise.  The workers=4 throughput story lives in
+    # bench_thm56.
     samples = 100
     burn_in = 10
 
-    def run(persistent: bool):
+    def run():
         return evaluate_forever_mcmc(
             query, db, samples=samples, burn_in=burn_in, rng=SEED,
-            parallel=ParallelConfig(workers=WORKERS, persistent=persistent))
+            parallel=ParallelConfig(workers=WORKERS))
 
     prewarm(WORKERS)  # the one-time spawn happens outside the timed region
-    warm_s, warm = timed(lambda: run(True), h.rounds)
-    spawn_s, spawned = timed(lambda: run(False), h.rounds)
+    warm_s, warm = timed(run, h.rounds)
     stats = warm_pool_stats()
 
     h.record("supervisor_warm_pool", warm_s,
              checksum({"positive": warm.positive, "samples": warm.samples}),
              samples=samples, burn_in=burn_in, pool=stats)
-    h.record("supervisor_spawn_per_call", spawn_s,
-             checksum({"positive": spawned.positive,
-                       "samples": spawned.samples}),
-             samples=samples, burn_in=burn_in)
-    # Both paths use identical seeds, chunking, and merge order, so the
-    # warm pool must reproduce spawn-per-call tallies bit-for-bit.
-    h.check("supervisor_matches_spawn_per_call",
-            (warm.positive, warm.samples) == (spawned.positive, spawned.samples),
-            f"warm positive={warm.positive}, spawn-per-call={spawned.positive}")
     h.check("supervisor_pool_healthy",
             stats["alive"] == WORKERS and stats["restarts"] == 0,
             f"alive={stats['alive']}/{WORKERS} restarts={stats['restarts']}")
-    # On a multi-core runner the warm pool also overlaps worker start-up,
-    # so the acceptance floor rises from 1.2x to 1.5x when >= 2 cores
-    # are usable; a single-core host can only express dispatch overhead.
-    floor = 1.5 if cores >= 2 else 1.2
-    h.target("supervisor_warm_vs_spawn",
-             spawn_s / warm_s if warm_s else float("inf"),
-             floor, enforced=not h.quick,
-             note=f"same chunks and seeds on {cores} usable core(s); warm "
-                  "dispatch skips per-call process spawn + import "
-                  "(floor 1.2x on one core, 1.5x on multi-core runners)")
 
 
 def bench_solver(h: Harness) -> None:
@@ -808,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_kernel(h)
     bench_determinism(h)
     bench_loadgen(h, cores)
-    bench_supervisor(h, cores)
+    bench_supervisor(h)
     bench_solver(h)
     bench_sparse(h)
     bench_partition(h)

@@ -18,7 +18,11 @@ Evaluate queries of the paper's languages directly from files::
 
 Exact evaluation is the default; pass ``--samples`` or
 ``--epsilon/--delta`` for the sampling evaluators (Theorems 4.3 / 5.6).
-``--json`` switches the output to machine-readable JSON.
+The three query subcommands answer through the service's query path
+(:class:`~repro.service.EngineSession`): static-analysis admission, the
+PH001 deterministic-kernel short-circuit, and the service ``result``
+payload schema (``kind``, ``method``, ...).  ``--json`` switches the
+output to machine-readable JSON.
 
 Resource limits (see ``docs/robustness.md``): every subcommand accepts
 ``--timeout SECONDS`` (wall-clock deadline) and ``--max-steps N``
@@ -36,9 +40,9 @@ message and exit code 2.  ``forever`` additionally supports
 Performance knobs (see ``docs/performance.md``): the sampling
 subcommands accept ``--workers N`` (multi-core trials with
 deterministic per-worker seeds; ``--workers 1`` reproduces the
-sequential sampler bit-identically) and ``--cache-size N`` (memoize up
-to N exact transition rows).  With ``--fallback``, both knobs apply to
-the MCMC rung of the degradation ladder.
+sequential sampler bit-identically) and ``--cache-size 0`` (skip the
+session's warm transition-row cache).  With ``--fallback``, both knobs
+apply to the MCMC rung of the degradation ladder.
 
 Observability (see ``docs/observability.md``): every evaluation
 subcommand accepts ``--trace PATH`` to write a JSONL trace of spans
@@ -73,24 +77,15 @@ import sys
 from typing import Sequence
 
 from repro import __version__
-from repro.core import (
-    ForeverQuery,
-    InflationaryQuery,
-    build_state_chain,
-    evaluate_forever_exact,
-    evaluate_forever_lumped,
-    evaluate_forever_mcmc,
-    evaluate_inflationary_exact,
-    evaluate_inflationary_sampling,
-)
+from repro.core import ForeverQuery, build_state_chain
 from repro.core.events import parse_event
-from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling, parse_program
 from repro.errors import ReproError
-from repro.io import load_database, load_pc_database
+from repro.io import load_database
 from repro.obs.schema import TraceSchemaError
 from repro.markov import classify, is_ergodic, is_irreducible, mixing_time
 from repro.relational.parser import parse_interpretation
-from repro.runtime import Budget, DegradationPolicy, RunContext, evaluate_forever_resilient
+from repro.runtime import Budget, RunContext
+
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
@@ -103,7 +98,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, help="fixed Monte-Carlo sample count")
     parser.add_argument("--epsilon", type=float, help="additive accuracy target")
-    parser.add_argument("--delta", type=float, default=0.05, help="failure probability (default 0.05)")
+    parser.add_argument("--delta", type=float, default=None, help="failure probability (default 0.05)")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed")
 
 
@@ -128,10 +123,10 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         metavar="N",
-        help="worker processes for the sampling evaluators (1 = the "
-        "historical sequential sampler, bit-identical; N > 1 is "
+        help="worker processes for the sampling evaluators (default 1: "
+        "the historical sequential sampler, bit-identical; N > 1 is "
         "seed-stable for fixed N)",
     )
     parser.add_argument(
@@ -139,9 +134,9 @@ def _add_perf_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="memoize up to N exact transition rows (LRU); hit/miss "
-        "counters are reported — see docs/performance.md for when "
-        "this is safe",
+        help="0 turns off the session's warm transition-row cache (LRU) "
+        "that walks draw from; any other value keeps it — see "
+        "docs/performance.md for when caching is safe",
     )
 
 
@@ -169,21 +164,11 @@ def _add_backend_argument(
     )
 
 
-def _parallel_config(args: argparse.Namespace):
-    """A ParallelConfig from --workers (None when sequential)."""
-    workers = getattr(args, "workers", 1)
-    if workers <= 1:
-        return None
-    from repro.perf import ParallelConfig
-
-    return ParallelConfig(workers=workers)
-
-
 def _add_partition_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--partition",
         choices=("auto", "off"),
-        default="off",
+        default=None,
         help="statically decompose the program into provenance-independent "
         "components ('repro lint' finding PP001), evaluate each on its own "
         "cheapest rung, and recombine the event probability by independence; "
@@ -237,58 +222,35 @@ def _finalize_trace(context: RunContext | None, payload: dict | None) -> None:
     report = context.report().as_dict()
     fields: dict = {"outcome": report["outcome"], "report": report}
     if isinstance(payload, dict):
-        for key in ("mode", "estimate", "probability", "samples"):
+        for key in ("kind", "method", "estimate", "probability", "samples"):
             if key in payload:
                 fields[key] = payload[key]
     context.tracer.run_record(**fields)
     context.tracer.close()
 
 
-def _wants_sampling(args: argparse.Namespace) -> bool:
-    return args.samples is not None or args.epsilon is not None
+def _command_query(args: argparse.Namespace, context: RunContext) -> dict:
+    """Answer ``datalog``/``forever``/``inflationary`` locally.
 
+    The same path a ``repro submit`` job takes inside the service: the
+    flags become the request ``_submit_body`` builds, which a fresh
+    :class:`~repro.service.EngineSession` prepares (static analysis
+    admission), checks the event against, and evaluates.  Run options
+    that are not request params (``--checkpoint``/``--resume``; the
+    budget and trace live on ``context``) go to ``evaluate`` directly.
+    """
+    from repro.service import EngineSession, QueryRequest
 
-def _command_datalog(args: argparse.Namespace, context: RunContext) -> dict:
     with context.phase("parse"):
-        with open(args.program, encoding="utf-8") as handle:
-            program = parse_program(handle.read())
-        edb = load_database(args.db)
-        event = parse_event(args.event)
-        pc_tables = load_pc_database(args.pc) if args.pc else None
-    if _wants_sampling(args):
-        result = evaluate_datalog_sampling(
-            program,
-            edb,
-            event,
-            pc_tables=pc_tables,
-            epsilon=args.epsilon or 0.05,
-            delta=args.delta,
-            samples=args.samples,
-            rng=args.seed,
-            context=context,
-        )
-        return {
-            "mode": "sampling (Theorem 4.3)",
-            "estimate": result.estimate,
-            "samples": result.samples,
-            "epsilon": result.epsilon,
-            "delta": result.delta,
-        }
-    result = evaluate_datalog_exact(
-        program,
-        edb,
-        event,
-        pc_tables=pc_tables,
-        max_states=args.max_states,
-        context=context,
+        request = QueryRequest.from_json(_submit_body(args))
+        session = EngineSession.prepare(request)
+        session.check_event(request.event)
+    return session.evaluate(
+        request,
+        context,
+        checkpoint_path=getattr(args, "checkpoint", None),
+        resume=getattr(args, "resume", None),
     )
-    return {
-        "mode": "exact (Proposition 4.4)",
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "states_explored": result.states_explored,
-        "pc_worlds": result.details.get("pc_worlds", 1),
-    }
 
 
 def _load_kernel_and_event(args: argparse.Namespace, context: RunContext):
@@ -298,262 +260,6 @@ def _load_kernel_and_event(args: argparse.Namespace, context: RunContext):
         db = load_database(args.db)
         event = parse_event(args.event)
     return kernel, db, event
-
-
-def _mcmc_payload(result) -> dict:
-    payload = {
-        "mode": "MCMC (Theorem 5.6)",
-        "estimate": result.estimate,
-        "samples": result.samples,
-        "burn_in": result.details["burn_in"],
-    }
-    if result.details.get("resumed_at") is not None:
-        payload["resumed_at_sample"] = result.details["resumed_at"]
-    _add_perf_details(payload, result)
-    return payload
-
-
-def _add_perf_details(payload: dict, result) -> None:
-    if result.details.get("workers"):
-        payload["workers"] = result.details["workers"]
-    if result.details.get("backend"):
-        payload["backend"] = result.details["backend"]
-    cache = result.details.get("cache")
-    if cache:
-        payload["cache_hits"] = cache["hits"]
-        payload["cache_misses"] = cache["misses"]
-        payload["cache_evictions"] = cache["evictions"]
-
-
-def _exact_payload(result) -> dict:
-    payload = {
-        "mode": f"exact ({result.method})",
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "chain_states": result.states_explored,
-    }
-    if result.details.get("backend"):
-        payload["backend"] = result.details["backend"]
-    return payload
-
-
-def _sparse_payload(result) -> dict:
-    lo, hi = result.interval
-    payload = {
-        "mode": f"sparse certified ({result.method})",
-        "probability_float": result.probability,
-        "interval": [lo, hi],
-        "certificate": result.certificate.as_dict(),
-        "chain_states": result.states_explored,
-    }
-    for key in ("backend", "sccs", "leaf_sccs", "irreducible"):
-        if result.details.get(key) is not None:
-            payload[key] = result.details[key]
-    return payload
-
-
-def _try_partition(args: argparse.Namespace, context: RunContext, query, db):
-    """The ``--partition auto`` path: plan statically, execute per
-    component, recombine by independence.
-
-    Returns the payload, or ``None`` when partitioning was not requested
-    or does not apply (single component, undecomposable event) — the
-    caller then runs the whole-program evaluator as usual.
-    """
-    if getattr(args, "partition", "off") != "auto":
-        return None
-    from repro.analysis import analyze_kernel
-    from repro.core.events import TupleIn
-    from repro.runtime import can_partition, evaluate_partitioned
-
-    semantics = "inflationary" if isinstance(query, InflationaryQuery) else "forever"
-    analysis = analyze_kernel(
-        query.kernel,
-        database=db,
-        event=query.event if isinstance(query.event, TupleIn) else None,
-        semantics=semantics,
-    )
-    plan = analysis.partition
-    if plan is None or not can_partition(plan, query.event):
-        context.record_event(
-            "partition requested but the program does not split; "
-            "using whole-program evaluation"
-        )
-        return None
-    policy = None
-    if semantics == "forever":
-        policy = DegradationPolicy(
-            mode=args.fallback,
-            sparse_epsilon=args.epsilon if args.epsilon is not None else 1e-6,
-            mcmc_epsilon=args.epsilon or 0.1,
-            mcmc_delta=args.delta,
-            mcmc_samples=args.samples,
-            mcmc_burn_in=args.burn_in,
-            mcmc_cache_size=args.cache_size,
-        )
-    prefer_sparse = getattr(args, "backend", None) == "sparse"
-    result = evaluate_partitioned(
-        query,
-        db,
-        plan,
-        max_states=args.max_states,
-        policy=policy,
-        context=context,
-        seed=args.seed,
-        backend=None if prefer_sparse else getattr(args, "backend", None),
-        prefer_sparse=prefer_sparse,
-        workers=getattr(args, "workers", 1),
-    )
-    if hasattr(result, "estimate"):
-        payload = {
-            "mode": f"partitioned ({result.method})",
-            "estimate": result.estimate,
-            "samples": result.samples,
-            "epsilon": result.epsilon,
-            "delta": result.delta,
-        }
-    else:
-        payload = _exact_payload(result)
-    payload["partition_components"] = len(plan.components)
-    payload["partition_evaluated"] = len(result.details["components"])
-    if result.details["pruned"]:
-        payload["partition_pruned"] = ",".join(result.details["pruned"])
-    report = context.report()
-    if report.downgrades:
-        payload["downgrades"] = [d.as_dict() for d in report.downgrades]
-    return payload
-
-
-def _command_forever(args: argparse.Namespace, context: RunContext) -> dict:
-    kernel, db, event = _load_kernel_and_event(args, context)
-    query = ForeverQuery(kernel, event)
-    partitioned = _try_partition(args, context, query, db)
-    if partitioned is not None:
-        return partitioned
-    prefer_sparse = args.backend == "sparse"
-    if args.fallback != "none" or prefer_sparse:
-        from repro.analysis import PlanHints
-
-        hints = PlanHints.for_kernel(kernel, event=event, semantics="forever")
-        policy = DegradationPolicy(
-            mode=args.fallback,
-            sparse_epsilon=args.epsilon if args.epsilon is not None else 1e-6,
-            mcmc_epsilon=args.epsilon or 0.1,
-            mcmc_delta=args.delta,
-            mcmc_samples=args.samples,
-            mcmc_burn_in=args.burn_in,
-            mcmc_workers=args.workers,
-            mcmc_cache_size=args.cache_size,
-        )
-        result = evaluate_forever_resilient(
-            query,
-            db,
-            max_states=args.max_states,
-            policy=policy,
-            context=context,
-            rng=args.seed,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            hints=hints,
-            backend=None if prefer_sparse else args.backend,
-            prefer_sparse=prefer_sparse,
-        )
-        if hasattr(result, "certificate"):
-            payload = _sparse_payload(result)
-        elif hasattr(result, "estimate"):
-            payload = _mcmc_payload(result)
-        else:
-            payload = _exact_payload(result)
-        report = context.report()
-        if report.downgrades:
-            payload["downgrades"] = [d.as_dict() for d in report.downgrades]
-        return payload
-    if args.mcmc or args.resume or _wants_sampling(args):
-        result = evaluate_forever_mcmc(
-            query,
-            db,
-            epsilon=args.epsilon or 0.1,
-            delta=args.delta,
-            samples=args.samples,
-            burn_in=args.burn_in,
-            rng=args.seed,
-            context=context,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            cache_size=args.cache_size,
-            parallel=_parallel_config(args),
-            backend=args.backend,
-        )
-        return _mcmc_payload(result)
-    if args.lumped:
-        result = evaluate_forever_lumped(
-            query, db, max_states=args.max_states, context=context,
-            backend=args.backend,
-        )
-        payload = {
-            "mode": "exact (lumped quotient)",
-            "probability": str(result.probability),
-            "probability_float": float(result.probability),
-            "full_chain_states": result.details["full_states"],
-            "quotient_states": result.details["quotient_states"],
-        }
-        if result.details.get("backend"):
-            payload["backend"] = result.details["backend"]
-        return payload
-    result = evaluate_forever_exact(
-        query, db, max_states=args.max_states, context=context,
-        backend=args.backend,
-    )
-    payload = _exact_payload(result)
-    payload["irreducible"] = result.details["irreducible"]
-    return payload
-
-
-def _command_inflationary(args: argparse.Namespace, context: RunContext) -> dict:
-    kernel, db, event = _load_kernel_and_event(args, context)
-    query = InflationaryQuery(kernel, event)
-    partitioned = _try_partition(args, context, query, db)
-    if partitioned is not None:
-        return partitioned
-    if _wants_sampling(args):
-        result = evaluate_inflationary_sampling(
-            query,
-            db,
-            epsilon=args.epsilon or 0.05,
-            delta=args.delta,
-            samples=args.samples,
-            rng=args.seed,
-            context=context,
-            cache_size=args.cache_size,
-            parallel=_parallel_config(args),
-            backend=args.backend,
-        )
-        payload = {
-            "mode": "sampling (Theorem 4.3)",
-            "estimate": result.estimate,
-            "samples": result.samples,
-        }
-        _add_perf_details(payload, result)
-        return payload
-    effective_backend = "frozenset"
-    if args.backend == "columnar":
-        from repro.core.evaluation.backend import resolve_backend
-
-        query, db, effective_backend = resolve_backend(
-            query, db, args.backend, context=context
-        )
-    result = evaluate_inflationary_exact(
-        query, db, max_states=args.max_states, context=context
-    )
-    payload = {
-        "mode": "exact (Proposition 4.4)",
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "states_explored": result.states_explored,
-    }
-    if effective_backend != "frozenset":
-        payload["backend"] = effective_backend
-    return payload
 
 
 def _command_chain(args: argparse.Namespace, context: RunContext) -> dict:
@@ -798,6 +504,7 @@ def _command_chaos(args: argparse.Namespace, context: RunContext) -> dict:
     import tempfile
 
     from repro import faults
+    from repro.core import evaluate_forever_mcmc
     from repro.faults import (
         SITE_CHECKPOINT_WRITE,
         SITE_SAMPLER_SAMPLE,
@@ -937,6 +644,12 @@ def _command_chaos(args: argparse.Namespace, context: RunContext) -> dict:
 
 
 def _submit_body(args: argparse.Namespace) -> dict:
+    """The request body for ``submit`` and the local query subcommands.
+
+    Only flags the user gave become params (the parsers default them to
+    ``None``), so a local run and its ``submit`` form build the same
+    request — and hence the same cache key.
+    """
     with open(args.program, encoding="utf-8") as handle:
         program_text = handle.read()
     with open(args.db, encoding="utf-8") as handle:
@@ -946,25 +659,22 @@ def _submit_body(args: argparse.Namespace) -> dict:
         "program": program_text,
         "database": database,
         "event": args.event,
-        "priority": args.priority,
+        "priority": getattr(args, "priority", "normal"),
     }
-    if args.pc:
+    if getattr(args, "pc", None):
         with open(args.pc, encoding="utf-8") as handle:
             body["pc_tables"] = json.load(handle)
     params = {
-        key: getattr(args, key)
+        key: getattr(args, key, None)
         for key in (
-            "samples", "epsilon", "delta", "seed", "max_states",
-            "burn_in", "workers", "cache_size", "backend", "partition",
+            "samples", "epsilon", "delta", "seed", "max_states", "burn_in",
+            "workers", "cache_size", "backend", "partition", "fallback",
         )
-        if getattr(args, key) is not None
+        if getattr(args, key, None) is not None
     }
-    if args.mcmc:
-        params["mcmc"] = True
-    if args.lumped:
-        params["lumped"] = True
-    if args.fallback is not None:
-        params["fallback"] = args.fallback
+    for flag in ("mcmc", "lumped"):
+        if getattr(args, flag, False):
+            params[flag] = True
     if params:
         body["params"] = params
     budget = {
@@ -1049,16 +759,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     datalog.add_argument("--db", required=True, help="database JSON file")
     datalog.add_argument("--event", required=True, help="ground event atom, e.g. 'c(w)'")
     datalog.add_argument("--pc", help="pc-table database JSON (Definition 2.1)")
-    datalog.add_argument("--max-states", type=int, default=100_000)
+    datalog.add_argument("--max-states", type=int, default=None)
     _add_sampling_arguments(datalog)
     _add_budget_arguments(datalog)
     _add_trace_argument(datalog)
-    datalog.set_defaults(handler=_command_datalog)
+    datalog.set_defaults(handler=_command_query, semantics="datalog")
 
     forever = subparsers.add_parser(
         "forever", help="evaluate a non-inflationary (forever) query", parents=[common]
     )
-    forever.add_argument("kernel", help="interpretation file (Name := expression lines)")
+    forever.add_argument(
+        "program", metavar="kernel",
+        help="interpretation file (Name := expression lines)",
+    )
     forever.add_argument("--db", required=True)
     forever.add_argument("--event", required=True)
     forever.add_argument("--mcmc", action="store_true", help="force the Theorem 5.6 sampler")
@@ -1068,11 +781,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="evaluate exactly on the event-respecting lumped quotient",
     )
     forever.add_argument("--burn-in", type=int, default=None)
-    forever.add_argument("--max-states", type=int, default=20_000)
+    forever.add_argument("--max-states", type=int, default=None)
     forever.add_argument(
         "--fallback",
         choices=("none", "sparse", "lumped", "mcmc", "auto"),
-        default="none",
+        default=None,
         help="degrade exact -> sparse -> lumped -> MCMC when the chain "
         "outgrows --max-states or a certified solve refuses, instead of "
         "failing (downgrades are reported)",
@@ -1095,22 +808,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_perf_arguments(forever)
     _add_backend_argument(forever, sparse=True)
     _add_trace_argument(forever)
-    forever.set_defaults(handler=_command_forever)
+    forever.set_defaults(handler=_command_query, semantics="forever")
 
     inflationary = subparsers.add_parser(
         "inflationary", help="evaluate an inflationary query", parents=[common]
     )
-    inflationary.add_argument("kernel")
+    inflationary.add_argument("program", metavar="kernel")
     inflationary.add_argument("--db", required=True)
     inflationary.add_argument("--event", required=True)
-    inflationary.add_argument("--max-states", type=int, default=100_000)
+    inflationary.add_argument("--max-states", type=int, default=None)
     _add_partition_argument(inflationary)
     _add_sampling_arguments(inflationary)
     _add_budget_arguments(inflationary)
     _add_perf_arguments(inflationary)
     _add_backend_argument(inflationary)
     _add_trace_argument(inflationary)
-    inflationary.set_defaults(handler=_command_inflationary)
+    inflationary.set_defaults(handler=_command_query, semantics="inflationary")
 
     chain = subparsers.add_parser(
         "chain", help="analyse the induced database-state chain", parents=[common]

@@ -259,8 +259,8 @@ def evaluate_forever_mcmc(
         ``cache_size``.  The RNG-stream caveat of ``cache_size``
         applies.  A shared cache cannot cross process boundaries: with
         ``parallel`` workers, each worker falls back to a private cache
-        of the same capacity.  Do not combine with ``resume`` unless
-        the interrupted run was itself cached.
+        of the same capacity.  On ``resume`` the checkpoint's setting
+        wins: resuming an uncached run drops the cache.
     backend:
         ``"frozenset"`` (default) or ``"columnar"`` — see
         :mod:`repro.core.evaluation.backend`.  The columnar backend
@@ -305,6 +305,8 @@ def evaluate_forever_mcmc(
         # The cache setting shapes the RNG stream (one draw per cached
         # step); honour whatever the interrupted run used.
         cache_size = checkpoint.meta.get("cache_size", cache_size)
+        if cache_size is None:
+            cache = None
     else:
         if burn_in is None:
             with phase_scope(context, "plan") as scope:

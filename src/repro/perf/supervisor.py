@@ -1,12 +1,10 @@
 """Supervised persistent workers for the parallel samplers.
 
-``BENCH_2026-08-06`` showed the spawn-per-call
-:class:`~concurrent.futures.ProcessPoolExecutor` path losing to
+``BENCH_2026-08-06`` showed a spawn-per-call process pool losing to
 sequential execution: every parallel run paid process startup, module
 import, and a cold :class:`~repro.perf.cache.TransitionCache` before the
-first trial ran.  The :class:`WorkerSupervisor` replaces it with
-long-lived warm workers, and adds the fault tolerance the pool never
-had:
+first trial ran.  The :class:`WorkerSupervisor` runs long-lived warm
+workers instead, with fault tolerance:
 
 * **Warm processes** — workers are spawned once and reused across runs;
   each keeps a private registry of transition caches keyed by the
@@ -86,8 +84,8 @@ class SupervisorConfig:
 
     Attributes
     ----------
-    workers / start_method:
-        Mirror :class:`~repro.perf.parallel.ParallelConfig`.
+    workers:
+        Mirrors :class:`~repro.perf.parallel.ParallelConfig`.
     heartbeat_timeout:
         Seconds of heartbeat silence after which a busy worker is
         declared hung and killed.  The sampling hot loop beats every
@@ -104,7 +102,6 @@ class SupervisorConfig:
     """
 
     workers: int
-    start_method: str | None = None
     heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT
     restart_budget: int = 3
     task_retries: int = 3
@@ -121,7 +118,6 @@ class SupervisorConfig:
                 pass
         return cls(
             workers=config.workers,
-            start_method=config.start_method,
             heartbeat_timeout=heartbeat,
         )
 
@@ -236,14 +232,10 @@ class WorkerSupervisor:
 
     def __init__(self, config: SupervisorConfig):
         self.config = config
-        method = config.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-        self._mp = multiprocessing.get_context(method)
+        methods = multiprocessing.get_all_start_methods()
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in methods else None
+        )
         self._results: Any = self._mp.Queue()
         self._cancel: Any = self._mp.Event()
         self._run_lock = threading.Lock()
@@ -571,9 +563,8 @@ def supervised_run(
 ) -> list[dict]:
     """Run tasks on the warm supervised pool (or a one-shot fallback).
 
-    This is the persistent path behind
-    :func:`~repro.perf.parallel.run_worker_pool`; callers keep the
-    legacy pool semantics (ordering, budgets, cancellation) and gain
+    This is the pool behind :func:`~repro.perf.parallel.run_worker_pool`:
+    task ordering, budgets, and cancellation as documented there, plus
     restart/retry fault tolerance and warm worker caches.
     """
     sup_config = SupervisorConfig.from_parallel(config)
@@ -590,7 +581,7 @@ def supervised_run(
         one_shot.close()
 
 
-def prewarm(workers: int, start_method: str | None = None) -> dict:
+def prewarm(workers: int) -> dict:
     """Spawn the module-level warm pool ahead of the first parallel run.
 
     ``repro serve --supervise`` calls this at startup so the first
@@ -598,9 +589,7 @@ def prewarm(workers: int, start_method: str | None = None) -> dict:
     of paying spawn + import latency.  Idempotent: an existing matching
     pool is left alone.
     """
-    supervisor = _lease_warm_pool(SupervisorConfig(
-        workers=workers, start_method=start_method,
-    ))
+    supervisor = _lease_warm_pool(SupervisorConfig(workers=workers))
     if supervisor is not None:
         supervisor._run_lock.release()
     return warm_pool_stats()

@@ -55,6 +55,39 @@ _PARAMS = {
 #: ladder behind it.
 _BACKENDS = (None, "frozenset", "columnar", "sparse")
 
+#: Degradation modes of the ``fallback`` param (the
+#: :class:`~repro.runtime.DegradationPolicy` ladders).
+_FALLBACKS = ("none", "sparse", "lumped", "mcmc", "auto")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Type and range of each param value: ``key -> (check, expectation)``.
+#: A ``null`` value means "not given" and is always accepted.
+_PARAM_CHECKS = {
+    **{
+        key: (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+        for key in ("samples", "max_states", "workers")
+    },
+    **{
+        key: (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+        for key in ("burn_in", "cache_size")
+    },
+    "seed": (_is_int, "an integer"),
+    **{
+        key: (lambda v: _is_number(v) and 0 < v < 1, "a number in (0, 1)")
+        for key in ("epsilon", "delta")
+    },
+    **{key: (lambda v: isinstance(v, bool), "a boolean") for key in ("mcmc", "lumped")},
+    "fallback": (lambda v: v in _FALLBACKS, f"one of {list(_FALLBACKS)}"),
+}
+
 _BUDGET_KEYS = frozenset({"timeout", "max_steps"})
 
 
@@ -150,6 +183,12 @@ class QueryRequest:
             f"unknown params for {self.semantics!r}: {unknown}; "
             f"expected a subset of {sorted(allowed)}",
         )
+        for key, value in self.params.items():
+            check, expected = _PARAM_CHECKS.get(key, (None, ""))
+            _require(
+                value is None or check is None or check(value),
+                f"param {key!r} must be {expected}, got {value!r}",
+            )
         _require(
             self.params.get("backend") in _BACKENDS,
             f"unknown backend {self.params.get('backend')!r}; "

@@ -1,7 +1,8 @@
 """Persistent engine sessions: parse once, keep the kernel warm.
 
-A one-shot CLI run pays the full bill on every invocation: parse the
-program, decode the database, build the chain or walk it cold.  An
+A one-shot CLI run (one fresh session per invocation) pays the full
+bill every time: parse the program, decode the database, build the
+chain or walk it cold.  An
 :class:`EngineSession` is the long-lived alternative — the parsed
 kernel (or datalog program), the decoded initial :class:`Database`, and
 one warm :class:`~repro.perf.cache.TransitionCache` live as long as the
@@ -25,8 +26,17 @@ from typing import Any, Mapping
 from repro.analysis import AnalysisResult, DiagnosticReport, analyze_source
 from repro.analysis.datalog import check_rules
 from repro.analysis.kernel import check_kernel
-from repro.core import ForeverQuery, InflationaryQuery
+from repro.core import (
+    ForeverQuery,
+    InflationaryQuery,
+    evaluate_forever_exact,
+    evaluate_forever_lumped,
+    evaluate_forever_mcmc,
+    evaluate_inflationary_exact,
+    evaluate_inflationary_sampling,
+)
 from repro.core.events import parse_event
+from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling
 from repro.errors import InvalidRequestError, ProgramRejectedError, ReproError
 from repro.io import database_from_json, pc_database_from_json
 from repro.perf.cache import TransitionCache
@@ -40,62 +50,78 @@ DEFAULT_TRANSITION_CACHE_SIZE = 4096
 DEFAULT_SESSION_POOL_SIZE = 32
 
 
-def _exact_payload(result) -> dict:
-    payload = {
-        "kind": "exact",
-        "method": result.method,
-        "probability": str(result.probability),
-        "probability_float": float(result.probability),
-        "states_explored": result.states_explored,
-    }
-    if result.details.get("backend"):
-        payload["backend"] = result.details["backend"]
-    return payload
-
-
-def _sampling_payload(result) -> dict:
-    payload = {
-        "kind": "sampling",
-        "method": result.method,
-        "estimate": result.estimate,
-        "samples": result.samples,
-        "positive": result.positive,
-        "epsilon": result.epsilon,
-        "delta": result.delta,
-    }
-    for key in ("burn_in", "workers", "backend"):
-        if result.details.get(key) is not None:
-            payload[key] = result.details[key]
-    if result.details.get("cache"):
-        payload["transition_cache"] = dict(result.details["cache"])
-    return payload
-
-
-def _sparse_payload(result) -> dict:
-    lo, hi = result.interval
-    payload = {
-        "kind": "sparse",
-        "method": result.method,
-        "probability_float": result.probability,
-        "interval": [lo, hi],
-        "certificate": result.certificate.as_dict(),
-        "states_explored": result.states_explored,
-    }
-    for key in ("backend", "sccs", "leaf_sccs", "irreducible"):
-        if result.details.get(key) is not None:
-            payload[key] = result.details[key]
-    return payload
-
-
 def result_payload(result) -> dict:
-    """JSON-friendly rendering of an evaluator result."""
+    """JSON-friendly rendering of an evaluator result: the wire schema
+    that ``repro submit``, the local query subcommands, and
+    :class:`~repro.service.ServiceClient` readers all share."""
+    details = result.details
     # Certified results also expose .probability (a float), so the
     # certificate check must come first.
     if hasattr(result, "certificate"):
-        return _sparse_payload(result)
-    if hasattr(result, "probability"):
-        return _exact_payload(result)
-    return _sampling_payload(result)
+        lo, hi = result.interval
+        payload = {
+            "kind": "sparse",
+            "method": result.method,
+            "probability_float": result.probability,
+            "interval": [lo, hi],
+            "certificate": result.certificate.as_dict(),
+            "states_explored": result.states_explored,
+        }
+        keys: tuple[str, ...] = ("backend", "sccs", "leaf_sccs", "irreducible")
+    elif hasattr(result, "probability"):
+        payload = {
+            "kind": "exact",
+            "method": result.method,
+            "probability": str(result.probability),
+            "probability_float": float(result.probability),
+            "states_explored": result.states_explored,
+        }
+        keys = ("backend", "irreducible", "full_states", "quotient_states")
+    else:
+        payload = {
+            "kind": "sampling",
+            "method": result.method,
+            "estimate": result.estimate,
+            "samples": result.samples,
+            "positive": result.positive,
+            "epsilon": result.epsilon,
+            "delta": result.delta,
+        }
+        keys = ("burn_in", "workers", "backend")
+        if details.get("cache"):
+            payload["transition_cache"] = dict(details["cache"])
+        if details.get("resumed_at") is not None:
+            payload["resumed_at_sample"] = details["resumed_at"]
+    for key in keys:
+        if details.get(key) is not None:
+            payload[key] = details[key]
+    return payload
+
+
+def _with_downgrades(payload: dict, context: RunContext | None) -> dict:
+    """Append the run's recorded ladder downgrades to ``payload``."""
+    if context is not None:
+        downgrades = context.report().downgrades
+        if downgrades:
+            payload["downgrades"] = [d.as_dict() for d in downgrades]
+    return payload
+
+
+def _degradation_policy(
+    params: Mapping[str, Any], mcmc_workers: int = 1
+) -> DegradationPolicy:
+    """The request's degradation ladder (the one place it is built)."""
+    return DegradationPolicy(
+        mode=params.get("fallback") or "none",
+        sparse_epsilon=params.get("epsilon") or 1e-6,
+        mcmc_epsilon=params.get("epsilon") or 0.1,
+        mcmc_delta=params.get("delta") or 0.05,
+        mcmc_samples=params.get("samples"),
+        mcmc_burn_in=params.get("burn_in"),
+        mcmc_workers=mcmc_workers,
+        # ``cache_size: 0`` means uncached, which the policy spells None.
+        mcmc_cache_size=params.get("cache_size") or None,
+    )
 
 
 def _rejection(report: DiagnosticReport) -> ProgramRejectedError:
@@ -343,6 +369,9 @@ class EngineSession:
         self,
         request: QueryRequest,
         context: RunContext | None = None,
+        *,
+        checkpoint_path: str | None = None,
+        resume: str | None = None,
     ) -> dict:
         """Evaluate one request on this prepared engine.
 
@@ -350,19 +379,34 @@ class EngineSession:
         :class:`~repro.errors.ReproError` the evaluators raise —
         budget exhaustion and cancellation included — unchanged, so the
         scheduler can classify the failure.
+
+        ``checkpoint_path`` and ``resume`` are run options of the
+        Theorem 5.6 sampler (see
+        :func:`~repro.core.evaluate_forever_mcmc`), not request params:
+        they shape where progress is saved, never the answer, so cache
+        keys ignore them.  ``resume`` forces the sampler.
         """
         if request.session_key() != self.key:
             raise InvalidRequestError(
                 "request does not belong to this session "
                 f"(session {self.key[:12]}…, request {request.session_key()[:12]}…)"
             )
-        dispatch = {
-            "forever": self._evaluate_forever,
-            "inflationary": self._evaluate_inflationary,
-            "datalog": self._evaluate_datalog,
-        }
+        params = request.params
+        sampling = (
+            params.get("samples") is not None
+            or params.get("epsilon") is not None
+            or bool(params.get("mcmc"))
+            or resume is not None
+        )
         kernel_ops_before = self._op_timings_snapshot()
-        payload = dispatch[self.semantics](request, context)
+        if self.semantics == "forever":
+            payload = self._evaluate_forever(
+                request, context, sampling, checkpoint_path, resume
+            )
+        elif self.semantics == "inflationary":
+            payload = self._evaluate_inflationary(request, context, sampling)
+        else:
+            payload = self._evaluate_datalog(request, context, sampling)
         self._record_kernel_ops(context, kernel_ops_before)
         with self._served_lock:
             self.requests_served += 1
@@ -409,25 +453,54 @@ class EngineSession:
         hints = self.hints
         return hints is not None and hints.deterministic
 
-    def _parallel_config(self, params: Mapping[str, Any]):
-        workers = params.get("workers") or 1
-        if workers <= 1:
-            return None
-        from repro.perf import ParallelConfig
+    def _answer(self, sampling: bool, exact, sample) -> dict:
+        """Run ``exact() -> payload`` or ``sample() -> result``.
 
-        return ParallelConfig(workers=workers)
-
-    def _walk_cache(self, params: Mapping[str, Any]) -> TransitionCache | None:
-        """The warm cache, unless the request opts out.
-
-        ``cache_size: 0`` disables caching for the request (the
-        polynomial ``sample_transition`` path, e.g. for kernels with
-        exponential per-state support); any other value keeps the
-        session cache — per-request sizes would defeat sharing.
+        The one PH001 short-circuit: when the kernel makes no
+        probabilistic choice, a requested estimate would converge on a
+        number a single exact run computes outright.
         """
+        if not sampling:
+            return exact()
+        if self._deterministic:
+            payload = exact()
+            payload["hint_applied"] = "PH001"
+            return payload
+        return result_payload(sample())
+
+    def _backend_inputs(
+        self,
+        query,
+        params: Mapping[str, Any],
+        context: RunContext | None,
+        checkpointing: bool,
+    ):
+        """``(query, initial, cache, backend)`` for the request's backend.
+
+        With ``backend: "columnar"`` the query comes back over the
+        session's compiled kernel (and its columnar cache), unless the
+        run dispatches to worker processes or checkpoints — compiled
+        plans neither pickle nor serialise, so the evaluator gets
+        ``backend="columnar"`` and compiles (or falls back) itself.
+
+        ``cache`` is the session's warm cache; ``cache_size: 0`` opts
+        out (the polynomial ``sample_transition`` path, e.g. for
+        kernels with exponential per-state support).  Any other value
+        keeps the session cache — per-request sizes would defeat
+        sharing.
+        """
+        initial, cache, backend = self.database, self._cache, None
+        if params.get("backend") == "columnar":
+            if (params.get("workers") or 1) > 1 or checkpointing:
+                backend = "columnar"
+            else:
+                compiled = self._compiled_query(type(query), query.event, context)
+                if compiled is not None:
+                    query, initial, cache = compiled
+                    backend = "columnar"
         if params.get("cache_size") == 0:
-            return None
-        return self._cache
+            cache = None
+        return query, initial, cache, backend
 
     def _evaluate_partitioned(
         self,
@@ -440,36 +513,35 @@ class EngineSession:
 
         Executes the admission-time partition plan: each independent
         component on its own rung, recombined by independence.  Returns
-        ``None`` when the plan does not apply (single component, event
-        does not decompose) — the caller evaluates whole-program.
+        ``None`` when partitioning was not requested or the plan does
+        not apply (single component, event does not decompose) — the
+        caller evaluates whole-program.
         """
+        if params.get("partition") != "auto":
+            return None
         from repro.runtime.partition_exec import can_partition, evaluate_partitioned
 
         plan = self.analysis.partition if self.analysis is not None else None
         if plan is None or not can_partition(plan, query.event):
+            if context is not None:
+                context.record_event(
+                    "partition requested but the program does not split; "
+                    "using whole-program evaluation"
+                )
             return None
-        policy = None
-        if not isinstance(query, InflationaryQuery):
-            policy = DegradationPolicy(
-                mode=params.get("fallback") or "none",
-                sparse_epsilon=params.get("epsilon") or 1e-6,
-                mcmc_epsilon=params.get("epsilon") or 0.1,
-                mcmc_delta=params.get("delta") or 0.05,
-                mcmc_samples=params.get("samples"),
-                mcmc_burn_in=params.get("burn_in"),
-                mcmc_cache_size=params.get("cache_size"),
-            )
-        prefer_sparse = params.get("backend") == "sparse"
         result = evaluate_partitioned(
             query,
             self.database,
             plan,
             max_states=max_states,
-            policy=policy,
+            policy=(
+                None if isinstance(query, InflationaryQuery)
+                else _degradation_policy(params)
+            ),
             context=context,
             seed=params.get("seed"),
             backend="columnar" if params.get("backend") == "columnar" else None,
-            prefer_sparse=prefer_sparse,
+            prefer_sparse=params.get("backend") == "sparse",
             workers=params.get("workers") or 1,
         )
         payload = result_payload(result)
@@ -478,98 +550,57 @@ class EngineSession:
             "evaluated": len(result.details["components"]),
             "pruned": list(result.details["pruned"]),
         }
-        if context is not None:
-            downgrades = context.report().downgrades
-            if downgrades:
-                payload["downgrades"] = [d.as_dict() for d in downgrades]
-        return payload
+        return _with_downgrades(payload, context)
 
     def _evaluate_forever(
-        self, request: QueryRequest, context: RunContext | None
+        self,
+        request: QueryRequest,
+        context: RunContext | None,
+        sampling: bool,
+        checkpoint_path: str | None,
+        resume: str | None,
     ) -> dict:
-        from repro.core import (
-            evaluate_forever_exact,
-            evaluate_forever_lumped,
-            evaluate_forever_mcmc,
-        )
-
         params = request.params
         query = ForeverQuery(self.kernel, parse_event(request.event))
-        initial = self.database
         max_states = params.get("max_states") or 20_000
-        if params.get("partition") == "auto":
-            partitioned = self._evaluate_partitioned(
-                query, params, max_states, context
-            )
-            if partitioned is not None:
-                return partitioned
-        fallback = params.get("fallback") or "none"
-        cache = self._walk_cache(params)
-        backend_param: str | None = None
+        partitioned = self._evaluate_partitioned(query, params, max_states, context)
+        if partitioned is not None:
+            return partitioned
+        query, initial, cache, backend = self._backend_inputs(
+            query, params, context,
+            checkpointing=checkpoint_path is not None or resume is not None,
+        )
         prefer_sparse = params.get("backend") == "sparse"
-        if params.get("backend") == "columnar":
-            if (params.get("workers") or 1) > 1:
-                # Compiled plans hold closures and arrays that do not
-                # pickle; the parallel dispatch ships the original query
-                # and each worker compiles in-process.
-                backend_param = "columnar"
-            else:
-                compiled = self._compiled_query(
-                    ForeverQuery, query.event, context
-                )
-                if compiled is not None:
-                    query, initial, columnar_cache = compiled
-                    cache = (
-                        None if params.get("cache_size") == 0 else columnar_cache
-                    )
-                    backend_param = "columnar"
-        if fallback != "none" or prefer_sparse:
-            policy = DegradationPolicy(
-                mode=fallback,
-                sparse_epsilon=params.get("epsilon") or 1e-6,
-                mcmc_epsilon=params.get("epsilon") or 0.1,
-                mcmc_delta=params.get("delta") or 0.05,
-                mcmc_samples=params.get("samples"),
-                mcmc_burn_in=params.get("burn_in"),
-                mcmc_workers=params.get("workers") or 1,
-                mcmc_cache_size=params.get("cache_size"),
-            )
+        if (params.get("fallback") or "none") != "none" or prefer_sparse:
             result = evaluate_forever_resilient(
                 query,
                 initial,
                 max_states=max_states,
-                policy=policy,
+                policy=_degradation_policy(params, params.get("workers") or 1),
                 context=context,
                 rng=params.get("seed"),
+                checkpoint_path=checkpoint_path,
+                resume=resume,
                 cache=cache,
                 hints=self.hints,
-                backend=backend_param,
+                backend=backend,
                 prefer_sparse=prefer_sparse,
             )
-            payload = result_payload(result)
-            if context is not None:
-                downgrades = context.report().downgrades
-                if downgrades:
-                    payload["downgrades"] = [d.as_dict() for d in downgrades]
-            return payload
-        wants_sampling = (
-            bool(params.get("mcmc"))
-            or params.get("samples") is not None
-            or params.get("epsilon") is not None
-        )
-        if wants_sampling and self._deterministic:
-            # PH001: the kernel makes no probabilistic choice — the
-            # requested estimate would converge on a number a single
-            # exact run computes outright.
-            result = evaluate_forever_exact(
-                query, initial, max_states=max_states,
-                context=context, cache=cache, backend=backend_param,
+            return _with_downgrades(result_payload(result), context)
+
+        def exact() -> dict:
+            evaluator = (
+                evaluate_forever_lumped
+                if params.get("lumped") and not sampling
+                else evaluate_forever_exact
             )
-            payload = result_payload(result)
-            payload["hint_applied"] = "PH001"
-            return payload
-        if wants_sampling:
-            result = evaluate_forever_mcmc(
+            return result_payload(evaluator(
+                query, initial, max_states=max_states,
+                context=context, cache=cache, backend=backend,
+            ))
+
+        def sample():
+            return evaluate_forever_mcmc(
                 query,
                 initial,
                 epsilon=params.get("epsilon") or 0.1,
@@ -578,75 +609,40 @@ class EngineSession:
                 burn_in=params.get("burn_in"),
                 rng=params.get("seed"),
                 context=context,
+                checkpoint_path=checkpoint_path,
+                resume=resume,
                 cache=cache,
-                parallel=self._parallel_config(params),
-                backend=backend_param,
+                parallel=_parallel_config(params),
+                backend=backend,
             )
-            return result_payload(result)
-        if params.get("lumped"):
-            result = evaluate_forever_lumped(
-                query, initial, max_states=max_states,
-                context=context, cache=cache, backend=backend_param,
-            )
-            return result_payload(result)
-        result = evaluate_forever_exact(
-            query, initial, max_states=max_states,
-            context=context, cache=cache, backend=backend_param,
-        )
-        return result_payload(result)
+
+        return self._answer(sampling, exact, sample)
 
     def _evaluate_inflationary(
-        self, request: QueryRequest, context: RunContext | None
+        self, request: QueryRequest, context: RunContext | None, sampling: bool
     ) -> dict:
-        from repro.core import (
-            evaluate_inflationary_exact,
-            evaluate_inflationary_sampling,
-        )
-
         params = request.params
         query = InflationaryQuery(self.kernel, parse_event(request.event))
-        initial = self.database
-        if params.get("partition") == "auto":
-            partitioned = self._evaluate_partitioned(
-                query, params, params.get("max_states") or 100_000, context
-            )
-            if partitioned is not None:
-                return partitioned
-        cache = self._walk_cache(params)
-        backend_param: str | None = None
-        used_columnar = False
-        if params.get("backend") == "columnar":
-            if (params.get("workers") or 1) > 1:
-                # See _evaluate_forever: compiled plans do not pickle.
-                backend_param = "columnar"
-            else:
-                compiled = self._compiled_query(
-                    InflationaryQuery, query.event, context
-                )
-                if compiled is not None:
-                    query, initial, columnar_cache = compiled
-                    cache = (
-                        None if params.get("cache_size") == 0 else columnar_cache
-                    )
-                    backend_param = "columnar"
-                    used_columnar = True
-        wants_sampling = (
-            params.get("samples") is not None or params.get("epsilon") is not None
+        max_states = params.get("max_states") or 100_000
+        partitioned = self._evaluate_partitioned(query, params, max_states, context)
+        if partitioned is not None:
+            return partitioned
+        query, initial, cache, backend = self._backend_inputs(
+            query, params, context, checkpointing=False
         )
-        if wants_sampling and self._deterministic:
-            result = evaluate_inflationary_exact(
-                query,
-                initial,
-                max_states=params.get("max_states") or 100_000,
-                context=context,
-            )
-            payload = result_payload(result)
-            if used_columnar:
+
+        def exact() -> dict:
+            payload = result_payload(evaluate_inflationary_exact(
+                query, initial, max_states=max_states, context=context
+            ))
+            if initial is not self.database:
+                # Ran on the compiled kernel; the evaluator does not
+                # record backends itself.
                 payload["backend"] = "columnar"
-            payload["hint_applied"] = "PH001"
             return payload
-        if wants_sampling:
-            result = evaluate_inflationary_sampling(
+
+        def sample():
+            return evaluate_inflationary_sampling(
                 query,
                 initial,
                 epsilon=params.get("epsilon") or 0.05,
@@ -655,32 +651,19 @@ class EngineSession:
                 rng=params.get("seed"),
                 context=context,
                 cache=cache,
-                parallel=self._parallel_config(params),
-                backend=backend_param,
+                parallel=_parallel_config(params),
+                backend=backend,
             )
-            return result_payload(result)
-        result = evaluate_inflationary_exact(
-            query,
-            initial,
-            max_states=params.get("max_states") or 100_000,
-            context=context,
-        )
-        payload = result_payload(result)
-        if used_columnar:
-            payload["backend"] = "columnar"
-        return payload
+
+        return self._answer(sampling, exact, sample)
 
     def _evaluate_datalog(
-        self, request: QueryRequest, context: RunContext | None
+        self, request: QueryRequest, context: RunContext | None, sampling: bool
     ) -> dict:
-        from repro.datalog import evaluate_datalog_exact, evaluate_datalog_sampling
-
         params = request.params
         event = parse_event(request.event)
-        wants_sampling = (
-            params.get("samples") is not None or params.get("epsilon") is not None
-        )
-        if wants_sampling and self._deterministic:
+
+        def exact() -> dict:
             result = evaluate_datalog_exact(
                 self.program,
                 self.database,
@@ -691,10 +674,10 @@ class EngineSession:
             )
             payload = result_payload(result)
             payload["pc_worlds"] = result.details.get("pc_worlds", 1)
-            payload["hint_applied"] = "PH001"
             return payload
-        if wants_sampling:
-            result = evaluate_datalog_sampling(
+
+        def sample():
+            return evaluate_datalog_sampling(
                 self.program,
                 self.database,
                 event,
@@ -705,18 +688,19 @@ class EngineSession:
                 rng=params.get("seed"),
                 context=context,
             )
-            return result_payload(result)
-        result = evaluate_datalog_exact(
-            self.program,
-            self.database,
-            event,
-            pc_tables=self.pc_tables,
-            max_states=params.get("max_states") or 100_000,
-            context=context,
-        )
-        payload = result_payload(result)
-        payload["pc_worlds"] = result.details.get("pc_worlds", 1)
-        return payload
+
+        return self._answer(sampling, exact, sample)
+
+
+def _parallel_config(params: Mapping[str, Any]):
+    """A :class:`~repro.perf.ParallelConfig` from ``workers`` (None when
+    sequential)."""
+    workers = params.get("workers") or 1
+    if workers <= 1:
+        return None
+    from repro.perf import ParallelConfig
+
+    return ParallelConfig(workers=workers)
 
 
 class SessionPool:

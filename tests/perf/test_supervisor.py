@@ -44,7 +44,7 @@ def chaos_hygiene(monkeypatch):
     faults.uninstall()
 
 
-def run_walk(walk, *, persistent=True, context=None):
+def run_walk(walk, *, context=None):
     query, db = walk
     return evaluate_forever_mcmc(
         query,
@@ -52,18 +52,42 @@ def run_walk(walk, *, persistent=True, context=None):
         samples=SAMPLES,
         burn_in=BURN_IN,
         rng=SEED,
-        parallel=ParallelConfig(workers=WORKERS, persistent=persistent),
+        parallel=ParallelConfig(workers=WORKERS),
         context=context,
     )
 
 
 class TestDeterminism:
-    def test_warm_pool_bit_identical_to_spawn_per_call(self, walk):
-        warm = run_walk(walk, persistent=True)
-        cold = run_walk(walk, persistent=False)
-        assert warm.positive == cold.positive
-        assert warm.estimate == cold.estimate
-        assert warm.samples == cold.samples == SAMPLES
+    def test_warm_pool_bit_identical_to_in_process_tasks(self, walk):
+        """The pool is a transport: the same task list run in this
+        process, chunk by chunk, merges to the same tally."""
+        from repro.perf.parallel import (
+            _run_mcmc_trials,
+            merge_tallies,
+            split_trials,
+            worker_seeds,
+        )
+        from repro.probability.rng import make_rng
+        from repro.runtime import Budget
+
+        query, db = walk
+        tasks = [
+            {
+                "query": query, "initial": db, "samples": count,
+                "burn_in": BURN_IN, "seed": seed, "cache_size": None,
+                "budget": Budget.unlimited(), "backend": None,
+                "profile": False,
+            }
+            for count, seed in zip(
+                split_trials(SAMPLES, WORKERS),
+                worker_seeds(make_rng(SEED), WORKERS),
+            )
+        ]
+        merged = merge_tallies([_run_mcmc_trials(task) for task in tasks])
+        warm = run_walk(walk)
+        assert warm.positive == merged["positive"]
+        assert warm.samples == merged["samples"] == SAMPLES
+        assert warm.estimate == merged["positive"] / SAMPLES
 
     def test_warm_pool_stable_across_reuse(self, walk):
         first = run_walk(walk)

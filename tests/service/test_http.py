@@ -100,6 +100,8 @@ class TestErrorMapping:
         assert self._status(client, "POST", "/v1/jobs", {"semantics": "x"}) == 400
         with pytest.raises(InvalidRequestError):
             client.submit({"semantics": "x"})
+        bad_param = walk_body(params={"samples": "abc"})
+        assert self._status(client, "POST", "/v1/jobs", bad_param) == 400
 
     def test_malformed_json_is_400(self, served):
         _, client = served

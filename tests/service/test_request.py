@@ -52,6 +52,36 @@ class TestValidation:
         with pytest.raises(InvalidRequestError, match="JSON object"):
             QueryRequest.from_json([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("samples", "abc"), ("samples", 0), ("samples", 2.5),
+            ("samples", True), ("max_states", "x"), ("max_states", 0),
+            ("workers", -2), ("workers", 0), ("burn_in", "z"),
+            ("burn_in", -1), ("cache_size", -5), ("cache_size", "64"),
+            ("seed", "s"), ("seed", 1.5), ("epsilon", 0), ("epsilon", 1),
+            ("epsilon", "0.1"), ("delta", 0.0), ("delta", 1.5),
+            ("delta", False), ("mcmc", "yes"), ("mcmc", 1),
+            ("lumped", 0), ("fallback", "sometimes"), ("fallback", 1),
+        ],
+    )
+    def test_bad_param_values_rejected(self, key, value):
+        with pytest.raises(InvalidRequestError, match=f"param {key!r} must be"):
+            QueryRequest.from_json(walk_body(params={key: value}))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"samples": 1, "max_states": 1, "workers": 1},
+            {"burn_in": 0, "cache_size": 0, "seed": -3},
+            {"epsilon": 1e-9, "delta": 0.5},
+            {"mcmc": False, "lumped": True, "fallback": "none"},
+            {"samples": None, "fallback": "auto"},
+        ],
+    )
+    def test_good_param_values_accepted(self, params):
+        assert QueryRequest.from_json(walk_body(params=params)).params == params
+
     def test_as_dict_round_trips(self, walk_request):
         again = QueryRequest.from_json(walk_request.as_dict())
         assert again == walk_request

@@ -68,6 +68,46 @@ class TestEngineSession:
         session.evaluate(request)
         assert session.cache.hits + session.cache.misses == 0
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"fallback": "mcmc", "max_states": 1, "samples": 40,
+             "burn_in": 4, "seed": 5},
+            {"fallback": "auto", "max_states": 1},
+        ],
+        ids=["fallback-mcmc", "fallback-auto"],
+    )
+    def test_cache_size_zero_with_fallback(self, params):
+        # cache_size 0 means "uncached"; the degradation policy spells
+        # that None and must not see the 0 (it requires sizes >= 1).
+        request = make_request(params={**params, "cache_size": 0})
+        session = EngineSession.prepare(request)
+        payload = session.evaluate(request, RunContext(Budget.unlimited()))
+        assert payload["downgrades"]
+        assert "transition_cache" not in payload
+        assert session.cache.hits + session.cache.misses == 0
+
+    def test_cache_size_zero_with_partition_auto(self):
+        request = QueryRequest.from_json({
+            "semantics": "forever",
+            "program": (
+                "C := rename[J->I](project[J](repair-key[I@P](C join E)))\n"
+                "D := rename[J->I](project[J](repair-key[I@P](D join E)))\n"
+            ),
+            "database": {"relations": {
+                "C": {"columns": ["I"], "rows": [["a"]]},
+                "D": {"columns": ["I"], "rows": [["b"]]},
+                "E": {"columns": ["I", "J", "P"], "rows": [
+                    ["a", "a", 1], ["a", "b", 1], ["b", "b", 1], ["b", "a", 1],
+                ]},
+            }},
+            "event": "C(b) and D(a)",
+            "params": {"partition": "auto", "cache_size": 0},
+        })
+        payload = EngineSession.prepare(request).evaluate(request)
+        assert payload["probability"] == "1/4"
+        assert payload["partition"]["evaluated"] == 2
+
     def test_fallback_degrades_and_reports(self, walk_request):
         request = make_request(
             params={"fallback": "lumped", "max_states": 1}

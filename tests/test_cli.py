@@ -113,7 +113,7 @@ class TestDatalogCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Theorem 4.3" in out
+        assert "method: datalog-thm-4.3" in out
 
     def test_json_output(self, workspace, capsys):
         code = main(
@@ -159,7 +159,7 @@ class TestForeverCommand:
             ]
         )
         assert code == 0
-        assert "Theorem 5.6" in capsys.readouterr().out
+        assert "method: thm-5.6" in capsys.readouterr().out
 
 
 class TestInflationaryCommand:
@@ -339,7 +339,9 @@ class TestResourceLimits:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("repro.cli.evaluate_forever_mcmc", interrupted)
+        monkeypatch.setattr(
+            "repro.service.session.evaluate_forever_mcmc", interrupted
+        )
         code = main(
             [
                 "forever",
@@ -372,5 +374,5 @@ class TestLumpedFlag:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "lumped quotient" in out
+        assert "method: lumped" in out
         assert "probability: 1/3" in out
